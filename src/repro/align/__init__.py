@@ -20,7 +20,12 @@ from repro.align.statistics import (
     empirical_score_survey,
     fit_gumbel,
 )
-from repro.align.simd.sw_vmx import sw_score_vmx, sw_score_vmx128, sw_score_vmx256
+from repro.align.simd.sw_vmx import (
+    sw_score_columns,
+    sw_score_vmx,
+    sw_score_vmx128,
+    sw_score_vmx256,
+)
 from repro.align.smith_waterman import smith_waterman, sw_score, sw_score_swat
 from repro.align.ssearch import (
     SsearchEngine,
@@ -62,6 +67,7 @@ __all__ = [
     "empirical_score_survey",
     "fit_gumbel",
     "nw_score",
+    "sw_score_columns",
     "sw_score_vmx",
     "sw_score_vmx128",
     "sw_score_vmx256",

@@ -17,11 +17,26 @@ their long vector dependency chains (rg_vi / rg_vper traumas) become
 the new bottleneck.
 
 Scores are identical to the scalar kernels; the test suite enforces it.
+
+:func:`sw_score_columns` computes the same score a whole DP column at a
+time (the SWAPHI/SSW approach) instead of one lane-wide wavefront step
+at a time; the traced SW_vmx kernels score subjects with it, and
+:func:`sw_score_vmx` stays as the lane-level oracle it is tested
+against.
 """
 
 from __future__ import annotations
 
-from repro.align.simd.vector import INT16_MIN, VMX128, VMX256, VectorConfig, VectorUnit
+import numpy as np
+
+from repro.align.simd.vector import (
+    INT16_MAX,
+    INT16_MIN,
+    VMX128,
+    VMX256,
+    VectorConfig,
+    VectorUnit,
+)
 from repro.align.types import GapPenalties, PAPER_GAPS
 from repro.bio.matrices import BLOSUM62, ScoringMatrix
 from repro.bio.sequence import Sequence, as_sequence
@@ -125,6 +140,66 @@ def sw_score_vmx(
         f_boundary = new_f_boundary
 
     return best
+
+
+def sw_score_columns(
+    query: Sequence | str,
+    subject: Sequence | str,
+    matrix: ScoringMatrix = BLOSUM62,
+    gaps: GapPenalties = PAPER_GAPS,
+) -> int:
+    """Exact score-only Smith-Waterman, one NumPy pass per subject column.
+
+    Returns what :func:`sw_score_vmx` returns at any width: the exact
+    local score (:func:`repro.align.smith_waterman.sw_score`), clamped
+    to ``INT16_MAX``.  The clamp is the int16 saturation: the lanes
+    agree with the exact DP until the first cell reaches ``INT16_MAX``,
+    and from then on the running best stays there.
+
+    Per column, ``E`` comes from the previous column and
+    ``H' = max(D, E, 0)`` over the whole query at once.  The vertical
+    gap needs no per-row recurrence: ``F[i] = max over k < i of
+    H'[k] - first - (i-1-k)*extend`` is a prefix max over
+    ``H'[k] + k*extend``.  That is exact because
+    ``first_residue_cost >= extend``: a vertical gap never gains from
+    closing and reopening, so ``F`` from ``H'`` equals ``F`` from ``H``.
+    Finally ``H = max(H', F)``.
+    """
+    q = as_sequence(query).codes
+    s = as_sequence(subject).codes
+    if not q or not s:
+        return 0
+    m = len(q)
+    # profile[c][i] is the score of query row i against residue code c.
+    profile = np.asarray(matrix.rows, dtype=np.int64)[np.asarray(q)].T.copy()
+    gap_first = gaps.first_residue_cost
+    gap_extend = gaps.extend
+
+    ramp = np.arange(m + 1, dtype=np.int64) * gap_extend
+    f_offset = ramp[:-1] + gap_first
+    # Row 0 of both H arrays is the all-zero DP boundary.
+    h = np.zeros(m + 1, dtype=np.int64)
+    h_open = np.zeros(m + 1, dtype=np.int64)
+    h_body = h[1:]
+    h_open_body = h_open[1:]
+    # E entering the first column opens from the zero column before it.
+    e = np.full(m, -gap_first, dtype=np.int64)
+    best = np.zeros(m, dtype=np.int64)
+    shifted = np.empty(m + 1, dtype=np.int64)
+    work = np.empty(m, dtype=np.int64)
+    for code in s:
+        np.add(h[:-1], profile[code], out=h_open_body)
+        np.maximum(h_open_body, e, out=h_open_body)
+        np.maximum(h_open_body, 0, out=h_open_body)
+        np.add(h_open, ramp, out=shifted)
+        np.maximum.accumulate(shifted[:-1], out=work)
+        np.subtract(work, f_offset, out=work)
+        np.maximum(h_open_body, work, out=h_body)
+        np.maximum(best, h_body, out=best)
+        np.subtract(e, gap_extend, out=e)
+        np.subtract(h_body, gap_first, out=work)
+        np.maximum(e, work, out=e)
+    return min(int(best.max()), INT16_MAX)
 
 
 def sw_score_vmx128(

@@ -90,13 +90,13 @@ class VectorUnit:
         """vec_adds: lane-wise saturating signed add."""
         self._check(a, b)
         wide = a.astype(np.int32) + b.astype(np.int32)
-        return np.clip(wide, INT16_MIN, INT16_MAX).astype(np.int16)
+        return np.minimum(np.maximum(wide, INT16_MIN), INT16_MAX).astype(np.int16)
 
     def subs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """vec_subs: lane-wise saturating signed subtract."""
         self._check(a, b)
         wide = a.astype(np.int32) - b.astype(np.int32)
-        return np.clip(wide, INT16_MIN, INT16_MAX).astype(np.int16)
+        return np.minimum(np.maximum(wide, INT16_MIN), INT16_MAX).astype(np.int16)
 
     def vmax(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """vec_max: lane-wise signed maximum."""

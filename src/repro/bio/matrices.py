@@ -124,6 +124,12 @@ class ScoringMatrix:
         size = self.alphabet.size
         if len(self.rows) != size or any(len(row) != size for row in self.rows):
             raise ValueError(f"matrix {self.name} is not {size}x{size}")
+        # Kernels disagree on the index order (``sw_score`` reads
+        # ``rows[subject][query]``, the SIMD and BLAST paths
+        # ``rows[query][subject]``), which only a symmetric matrix makes
+        # harmless.
+        if not self.is_symmetric():
+            raise ValueError(f"matrix {self.name} is not symmetric")
         flat = tuple(value for row in self.rows for value in row)
         object.__setattr__(self, "flat", flat)
 

@@ -1,13 +1,19 @@
 """Traced SW_vmx128 / SW_vmx256 kernels: anti-diagonal SIMD SW.
 
-Runs the same Wozniak anti-diagonal algorithm as
-:func:`repro.align.simd.sw_vmx.sw_score_vmx` (scores are bit-identical,
-tested) while emitting the Altivec-style operation stream: per
+Emits the Altivec-style operation stream of the Wozniak anti-diagonal
+algorithm of :func:`repro.align.simd.sw_vmx.sw_score_vmx`: per
 wavefront step a fixed recipe of vector loads (profile gather), vector
 simple-integer ops (saturating adds/subs/maxes), vector permutes (lane
 shifts between neighbouring rows), and scalar address arithmetic — with
 loop control only at tile boundaries (listing 3's ``i += 8``/``j += 8``
 structure), which is why control instructions are ~2% of the mix.
+
+The stream depends only on sequence lengths, block offsets and residue
+codes, never on DP values, so the kernel does not replay the wavefront
+lane by lane.  Each subject is scored once, after its stream is
+emitted, by :func:`repro.align.simd.sw_vmx.sw_score_columns`, which
+returns exactly what ``sw_score_vmx`` does (tested); a subject cut by
+the instruction budget stays unscored.
 
 The 256-bit variant executes half the wavefront steps but each of its
 permute and memory operations cracks into two 128-bit micro-ops (the
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align.simd.vector import INT16_MIN, VMX128, VMX256, VectorConfig, VectorUnit
+from repro.align.simd.sw_vmx import sw_score_columns
+from repro.align.simd.vector import VMX128, VectorConfig
 from repro.align.types import GapPenalties, PAPER_GAPS
 from repro.bio.database import SequenceDatabase
 from repro.bio.matrices import BLOSUM62, ScoringMatrix
@@ -175,192 +182,10 @@ class SwVmxKernel(TracedKernel):
         database: SequenceDatabase,
         scores: dict[str, int],
     ) -> None:
-        if builder.use_templates:
-            self._execute_templated(builder, query, database, scores)
-        else:
-            self._execute_scalar(builder, query, database, scores)
-
-    def _execute_templated(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
-        q = query.codes
-        m = len(q)
-        unit = VectorUnit(self.config)
-        lanes = unit.lanes
+        m = len(query.codes)
+        lanes = self.config.lanes
         cracks = self.cracks
-        gap_first = self.gaps.first_residue_cost
-        gap_extend = self.gaps.extend
-        rows = self.matrix.rows
-
-        gf_vec = unit.splat(gap_first)
-        ge_vec = unit.splat(gap_extend)
-        zero_vec = unit.zero()
-        sentinel = INT16_MIN
-        template = _step_template(cracks)
-
-        profile_base = builder.alloc("profile", self.matrix.size * m * 2)
-        longest = max((len(s) for s in database), default=0)
-        hb_base = builder.alloc("h_boundary", (longest + 1) * 2)
-        fb_base = builder.alloc("f_boundary", (longest + 1) * 2)
-        db_base = builder.alloc("db", database.residue_count)
-
-        def emit_vperm(site: str, sources: tuple[int, ...]) -> int:
-            register = builder.vperm(site, sources)
-            for crack in range(1, cracks):
-                register = builder.vperm(f"{site}.c{crack}", (register,))
-            return register
-
-        def emit_vload(
-            site: str, address: int, sources: tuple[int, ...]
-        ) -> int:
-            register = builder.vload(site, address, sources, size=16)
-            for crack in range(1, cracks):
-                r_addr = builder.ialu(f"{site}.a{crack}", sources)
-                register = builder.vload(
-                    f"{site}.c{crack}", address + 16 * crack, (r_addr,), size=16
-                )
-            return register
-
-        db_cursor = db_base
-        for subject in database:
-            s = subject.codes
-            n = len(s)
-            subject_base = db_cursor
-            db_cursor += n
-
-            h_boundary = [0] * (n + 1)
-            f_boundary = [sentinel] * (n + 1)
-            best = 0
-
-            r_sub = builder.ialu("drv.subj.setup")
-            builder.other("drv.subj.misc", (r_sub,))
-
-            s_arr = np.asarray(s, dtype=np.int64)
-
-            for r0 in range(0, m, lanes):
-                block_codes = [q[r0 + k] if r0 + k < m else -1 for k in range(lanes)]
-                last_lane = min(lanes, m - r0) - 1
-                new_h_boundary = [0] * (n + 1)
-                new_f_boundary = [sentinel] * (n + 1)
-
-                v_h_prev = zero_vec.copy()
-                v_h_prev2 = zero_vec.copy()
-                v_e_prev = unit.splat(sentinel)
-                v_f_prev = unit.splat(sentinel)
-
-                r_addr0 = builder.ialu("blk.addr", (r_sub,))
-                r_qblk = emit_vload("blk.qload", profile_base + r0 * 2, (r_addr0,))
-                r_vh = builder.vperm("blk.zero", (r_qblk,))
-                r_ve = builder.vperm("blk.sent_e", ())
-                r_vf = builder.vperm("blk.sent_f", ())
-                r_vbest = r_vh
-
-                # Functional wavefront (exact) — no emissions; the whole
-                # step stream is stamped in one bulk write afterwards.
-                for t in range(1, n + lanes):
-                    subject_codes = [
-                        s[t - k - 1] if 1 <= t - k <= n else -1
-                        for k in range(lanes)
-                    ]
-                    v_e = unit.vmax(
-                        unit.subs(v_h_prev, gf_vec), unit.subs(v_e_prev, ge_vec)
-                    )
-                    carry_h = h_boundary[t] if t <= n else 0
-                    carry_f = f_boundary[t] if t <= n else sentinel
-                    v_f = unit.vmax(
-                        unit.subs(unit.shift_down(v_h_prev, carry_h), gf_vec),
-                        unit.subs(unit.shift_down(v_f_prev, carry_f), ge_vec),
-                    )
-                    carry_diag = h_boundary[t - 1] if t - 1 <= n else 0
-                    v_scores = unit.gather_scores(rows, block_codes, subject_codes)
-                    v_diag = unit.adds(
-                        unit.shift_down(v_h_prev2, carry_diag), v_scores
-                    )
-                    v_h = unit.vmax(
-                        unit.vmax(v_diag, v_e), unit.vmax(v_f, zero_vec)
-                    )
-                    for k in range(lanes):
-                        if subject_codes[k] < 0:
-                            v_h[k] = 0
-                            v_e[k] = sentinel
-                            v_f[k] = sentinel
-                    lane_best = unit.horizontal_max(v_h)
-                    if lane_best > best:
-                        best = lane_best
-
-                    j_last = t - last_lane
-                    if 1 <= j_last <= n:
-                        new_h_boundary[j_last] = unit.extract(v_h, last_lane)
-                        new_f_boundary[j_last] = unit.extract(v_f, last_lane)
-
-                    v_h_prev2 = v_h_prev
-                    v_h_prev = v_h
-                    v_e_prev = v_e
-                    v_f_prev = v_f
-
-                t_arr = np.arange(1, n + lanes, dtype=np.int64)
-                min_tn = np.minimum(t_arr, n)
-                db_index = min_tn - 1
-                codes = s_arr[db_index]
-                j_last_arr = t_arr - last_lane
-                result = builder.stamp(template, n + lanes - 1, {
-                    "addr": r_addr0,
-                    "qblk": r_qblk,
-                    "vh": r_vh,
-                    "ve": r_ve,
-                    "vf": r_vf,
-                    "dba": subject_base + db_index,
-                    "p1a": profile_base + (codes * m + r0) * 2,
-                    "hba": hb_base + 2 * min_tn,
-                    "fba": fb_base + 2 * min_tn,
-                    "stb": (j_last_arr >= 1) & (j_last_arr <= n),
-                    "sta": hb_base + 2 * j_last_arr,
-                    "tile": (t_arr % UNROLL) == 0,
-                    "tl": (t_arr + UNROLL) < (n + lanes),
-                })
-
-                r_vbest = result.last(
-                    template.slot_index("best"), default=r_vbest
-                )
-
-                h_boundary = new_h_boundary
-                f_boundary = new_f_boundary
-
-                r_red = emit_vperm("blk.red_perm", (r_vbest,))
-                builder.vsimple("blk.red_max", (r_red, r_vbest))
-                r_cmp = builder.ialu("blk.cmp", (r_red,))
-                builder.ctrl(
-                    "blk.loop", taken=r0 + lanes < m, sources=(r_cmp,), backward=True
-                )
-
-            r_hist = builder.ialu("drv.hist.bin", (r_sub,))
-            builder.istore("drv.hist.store", hb_base, (r_hist,), size=4)
-            scores[subject.identifier] = best
-
-    def _execute_scalar(
-        self,
-        builder: TraceBuilder,
-        query: Sequence,
-        database: SequenceDatabase,
-        scores: dict[str, int],
-    ) -> None:
-        q = query.codes
-        m = len(q)
-        unit = VectorUnit(self.config)
-        lanes = unit.lanes
-        cracks = self.cracks
-        gap_first = self.gaps.first_residue_cost
-        gap_extend = self.gaps.extend
-        rows = self.matrix.rows
-
-        gf_vec = unit.splat(gap_first)
-        ge_vec = unit.splat(gap_extend)
-        zero_vec = unit.zero()
-        sentinel = INT16_MIN
+        template = _step_template(cracks) if builder.use_templates else None
 
         # Data layout: striped query profile, boundary rows, database.
         profile_base = builder.alloc("profile", self.matrix.size * m * 2)
@@ -397,149 +222,112 @@ class SwVmxKernel(TracedKernel):
             subject_base = db_cursor
             db_cursor += n
 
-            h_boundary = [0] * (n + 1)
-            f_boundary = [sentinel] * (n + 1)
-            best = 0
-
             r_sub = builder.ialu("drv.subj.setup")
             builder.other("drv.subj.misc", (r_sub,))
 
             for r0 in range(0, m, lanes):
-                block_codes = [q[r0 + k] if r0 + k < m else -1 for k in range(lanes)]
                 last_lane = min(lanes, m - r0) - 1
-                new_h_boundary = [0] * (n + 1)
-                new_f_boundary = [sentinel] * (n + 1)
-
-                v_h_prev = zero_vec.copy()
-                v_h_prev2 = zero_vec.copy()
-                v_e_prev = unit.splat(sentinel)
-                v_f_prev = unit.splat(sentinel)
 
                 # Block prologue: load the query stripe and reset state.
                 r_addr = builder.ialu("blk.addr", (r_sub,))
                 r_qblk = emit_vload("blk.qload", profile_base + r0 * 2, (r_addr,))
                 r_vh = builder.vperm("blk.zero", (r_qblk,))
-                r_vh2 = r_vh
                 r_ve = builder.vperm("blk.sent_e", ())
                 r_vf = builder.vperm("blk.sent_f", ())
-                r_vbest = r_vh
 
-                for t in range(1, n + lanes):
-                    subject_codes = [
-                        s[t - k - 1] if 1 <= t - k <= n else -1
-                        for k in range(lanes)
-                    ]
-
-                    # --- functional wavefront step (exact) -----------
-                    v_e = unit.vmax(
-                        unit.subs(v_h_prev, gf_vec), unit.subs(v_e_prev, ge_vec)
+                if template is not None:
+                    # The whole wavefront of the block in one bulk write.
+                    t_arr = np.arange(1, n + lanes, dtype=np.int64)
+                    min_tn = np.minimum(t_arr, n)
+                    db_index = min_tn - 1
+                    codes = np.asarray(s, dtype=np.int64)[db_index]
+                    j_last_arr = t_arr - last_lane
+                    result = builder.stamp(template, n + lanes - 1, {
+                        "addr": r_addr,
+                        "qblk": r_qblk,
+                        "vh": r_vh,
+                        "ve": r_ve,
+                        "vf": r_vf,
+                        "dba": subject_base + db_index,
+                        "p1a": profile_base + (codes * m + r0) * 2,
+                        "hba": hb_base + 2 * min_tn,
+                        "fba": fb_base + 2 * min_tn,
+                        "stb": (j_last_arr >= 1) & (j_last_arr <= n),
+                        "sta": hb_base + 2 * j_last_arr,
+                        "tile": (t_arr % UNROLL) == 0,
+                        "tl": (t_arr + UNROLL) < (n + lanes),
+                    })
+                    r_vbest = result.last(
+                        template.slot_index("best"), default=r_vh
                     )
-                    carry_h = h_boundary[t] if t <= n else 0
-                    carry_f = f_boundary[t] if t <= n else sentinel
-                    v_f = unit.vmax(
-                        unit.subs(unit.shift_down(v_h_prev, carry_h), gf_vec),
-                        unit.subs(unit.shift_down(v_f_prev, carry_f), ge_vec),
-                    )
-                    carry_diag = h_boundary[t - 1] if t - 1 <= n else 0
-                    v_scores = unit.gather_scores(rows, block_codes, subject_codes)
-                    v_diag = unit.adds(
-                        unit.shift_down(v_h_prev2, carry_diag), v_scores
-                    )
-                    v_h = unit.vmax(
-                        unit.vmax(v_diag, v_e), unit.vmax(v_f, zero_vec)
-                    )
-                    for k in range(lanes):
-                        if subject_codes[k] < 0:
-                            v_h[k] = 0
-                            v_e[k] = sentinel
-                            v_f[k] = sentinel
-                    lane_best = unit.horizontal_max(v_h)
-                    if lane_best > best:
-                        best = lane_best
-
-                    # --- emitted operation stream --------------------
-                    # Address arithmetic for the step (profile pointer,
-                    # boundary pointers, wavefront index update).
-                    r_addr = builder.ialu("step.addr1", (r_addr,))
-                    r_addr2 = builder.ialu("step.addr2", (r_addr,))
-                    builder.ialu("step.addr3", (r_addr,))
-                    builder.ialu("step.addr4", (r_addr2,))
-                    # New database residue enters the wavefront.
-                    db_index = min(t, n) - 1
-                    r_db = builder.iload(
-                        "step.dbload", subject_base + db_index, (r_addr2,), size=1
-                    )
-                    # Profile gather for the anti-diagonal (perm lookup).
-                    code = s[db_index]
-                    r_p1 = emit_vload(
-                        "step.prof1", profile_base + (code * m + r0) * 2, (r_db,)
-                    )
-                    r_p2 = emit_vload(
-                        "step.prof2",
-                        profile_base + (code * m + r0) * 2 + 16,
-                        (r_db,),
-                    )
-                    r_scores = emit_vperm("step.gather1", (r_p1, r_p2))
-                    r_scores = emit_vperm("step.gather2", (r_scores, r_qblk))
-                    # E update: 3 vector-simple ops.
-                    r_t1 = builder.vsimple("step.e_sub1", (r_vh,))
-                    r_t2 = builder.vsimple("step.e_sub2", (r_ve,))
-                    r_ve = builder.vsimple("step.e_max", (r_t1, r_t2))
-                    # F update: two lane shifts + 3 vector-simple ops.
-                    r_hb = builder.iload(
-                        "step.hb_load", hb_base + 2 * min(t, n), (r_addr,), size=2
-                    )
-                    r_s1 = emit_vperm("step.f_shift_h", (r_vh, r_hb))
-                    r_s2 = emit_vperm("step.f_shift_f", (r_vf, r_hb))
-                    r_t1 = builder.vsimple("step.f_sub1", (r_s1,))
-                    r_t2 = builder.vsimple("step.f_sub2", (r_s2,))
-                    r_vf = builder.vsimple("step.f_max", (r_t1, r_t2))
-                    # Diagonal + substitution scores.
-                    r_fb = builder.iload(
-                        "step.fb_load", fb_base + 2 * min(t, n), (r_addr,), size=2
-                    )
-                    r_d = emit_vperm("step.d_shift", (r_vh2, r_fb))
-                    r_d = builder.vsimple("step.d_add", (r_d, r_scores))
-                    # H = max(max(diag, E), max(F, 0)).
-                    r_t1 = builder.vsimple("step.h_max1", (r_d, r_ve))
-                    r_t2 = builder.vsimple("step.h_max2", (r_vf,))
-                    r_vh_new = builder.vsimple("step.h_max3", (r_t1, r_t2))
-                    # Running best.
-                    r_vbest = builder.vsimple("step.best", (r_vbest, r_vh_new))
-
-                    # Boundary row write-back (last valid lane).
-                    j_last = t - last_lane
-                    if 1 <= j_last <= n:
-                        new_h_boundary[j_last] = unit.extract(v_h, last_lane)
-                        new_f_boundary[j_last] = unit.extract(v_f, last_lane)
-                        # H and F boundary entries are adjacent struct
-                        # fields written with a single 4-byte store.
-                        builder.istore(
-                            "step.hb_store",
-                            hb_base + 2 * j_last,
-                            (r_vh_new, r_vf),
-                            size=4,
-                        )
-
-                    # Tile loop control (unrolled by UNROLL).
-                    if t % UNROLL == 0:
-                        r_cmp = builder.ialu("step.tile_cmp", (r_addr,))
-                        builder.ctrl(
-                            "step.tile_loop",
-                            taken=t + UNROLL < n + lanes,
-                            sources=(r_cmp,),
-                            backward=True,
-                        )
-
-                    v_h_prev2 = v_h_prev
-                    v_h_prev = v_h
-                    v_e_prev = v_e
-                    v_f_prev = v_f
+                else:
+                    r_vbest = r_vh
                     r_vh2 = r_vh
-                    r_vh = r_vh_new
-
-                h_boundary = new_h_boundary
-                f_boundary = new_f_boundary
+                    for t in range(1, n + lanes):
+                        # Address arithmetic for the step (profile
+                        # pointer, boundary pointers, wavefront index).
+                        r_addr = builder.ialu("step.addr1", (r_addr,))
+                        r_addr2 = builder.ialu("step.addr2", (r_addr,))
+                        builder.ialu("step.addr3", (r_addr,))
+                        builder.ialu("step.addr4", (r_addr2,))
+                        # New database residue enters the wavefront.
+                        index = min(t, n) - 1
+                        r_db = builder.iload(
+                            "step.dbload", subject_base + index, (r_addr2,), size=1
+                        )
+                        # Profile gather for the anti-diagonal (perm lookup).
+                        p1a = profile_base + (s[index] * m + r0) * 2
+                        r_p1 = emit_vload("step.prof1", p1a, (r_db,))
+                        r_p2 = emit_vload("step.prof2", p1a + 16, (r_db,))
+                        r_scores = emit_vperm("step.gather1", (r_p1, r_p2))
+                        r_scores = emit_vperm("step.gather2", (r_scores, r_qblk))
+                        # E update: 3 vector-simple ops.
+                        r_t1 = builder.vsimple("step.e_sub1", (r_vh,))
+                        r_t2 = builder.vsimple("step.e_sub2", (r_ve,))
+                        r_ve = builder.vsimple("step.e_max", (r_t1, r_t2))
+                        # F update: two lane shifts + 3 vector-simple ops.
+                        r_hb = builder.iload(
+                            "step.hb_load", hb_base + 2 * min(t, n), (r_addr,),
+                            size=2,
+                        )
+                        r_s1 = emit_vperm("step.f_shift_h", (r_vh, r_hb))
+                        r_s2 = emit_vperm("step.f_shift_f", (r_vf, r_hb))
+                        r_t1 = builder.vsimple("step.f_sub1", (r_s1,))
+                        r_t2 = builder.vsimple("step.f_sub2", (r_s2,))
+                        r_vf = builder.vsimple("step.f_max", (r_t1, r_t2))
+                        # Diagonal + substitution scores.
+                        r_fb = builder.iload(
+                            "step.fb_load", fb_base + 2 * min(t, n), (r_addr,),
+                            size=2,
+                        )
+                        r_d = emit_vperm("step.d_shift", (r_vh2, r_fb))
+                        r_d = builder.vsimple("step.d_add", (r_d, r_scores))
+                        # H = max(max(diag, E), max(F, 0)).
+                        r_t1 = builder.vsimple("step.h_max1", (r_d, r_ve))
+                        r_t2 = builder.vsimple("step.h_max2", (r_vf,))
+                        r_vh_new = builder.vsimple("step.h_max3", (r_t1, r_t2))
+                        # Running best.
+                        r_vbest = builder.vsimple("step.best", (r_vbest, r_vh_new))
+                        # Boundary row write-back (last valid lane): H and
+                        # F boundary entries are adjacent struct fields
+                        # written with a single 4-byte store.
+                        j_last = t - last_lane
+                        if 1 <= j_last <= n:
+                            builder.istore(
+                                "step.hb_store", hb_base + 2 * j_last,
+                                (r_vh_new, r_vf), size=4,
+                            )
+                        # Tile loop control (unrolled by UNROLL).
+                        if t % UNROLL == 0:
+                            r_cmp = builder.ialu("step.tile_cmp", (r_addr,))
+                            builder.ctrl(
+                                "step.tile_loop",
+                                taken=t + UNROLL < n + lanes,
+                                sources=(r_cmp,),
+                                backward=True,
+                            )
+                        r_vh2 = r_vh
+                        r_vh = r_vh_new
 
                 # Block epilogue: horizontal max reduction of the best.
                 r_red = emit_vperm("blk.red_perm", (r_vbest,))
@@ -551,4 +339,6 @@ class SwVmxKernel(TracedKernel):
 
             r_hist = builder.ialu("drv.hist.bin", (r_sub,))
             builder.istore("drv.hist.store", hb_base, (r_hist,), size=4)
-            scores[subject.identifier] = best
+            scores[subject.identifier] = sw_score_columns(
+                query, subject, self.matrix, self.gaps
+            )

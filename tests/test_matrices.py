@@ -70,6 +70,14 @@ class TestLookup:
         with pytest.raises(ValueError):
             ScoringMatrix(name="bad", alphabet=PROTEIN, rows=((1, 2), (3, 4)))
 
+    def test_asymmetric_rejected(self):
+        rows = [list(row) for row in BLOSUM62.rows]
+        rows[0][1] += 1
+        with pytest.raises(ValueError, match="not symmetric"):
+            ScoringMatrix(
+                name="skewed", alphabet=PROTEIN, rows=tuple(map(tuple, rows))
+            )
+
 
 @given(
     a=st.integers(min_value=0, max_value=22),
