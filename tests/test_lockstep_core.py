@@ -136,3 +136,97 @@ def test_max_cycles_guard_matches_scalar():
         simulate(trace, config, max_cycles=10)
     with pytest.raises(RuntimeError):
         LockstepCore(trace, [config, config], max_cycles=10).run()
+
+
+# ----------------------------------------------------------------------
+# Pinned oracle: tests/golden/lane_golden.json.
+
+import hashlib
+import json
+from pathlib import Path
+
+from repro.analysis.sampling import extract_window
+from repro.bio.synthetic import SyntheticDatabaseConfig
+from repro.workloads.suite import WorkloadSuite
+
+_LANE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "lane_golden.json").read_text()
+)
+_ENTRIES = _LANE_GOLDEN["entries"]
+_PRESETS = dict(TABLE_PRESETS)
+_WARMUP_PRESETS = ("4-way/me1", "4-way/me3", "8-way/me2+bperf")
+_GOLDEN_FUZZ_POOL = (
+    "4-way/me1", "16-way/me1", "4-way/me3", "4-way/meinf", "8-way/me2+bperf",
+)
+_WORKLOADS = ("ssearch34", "fasta34", "blast", "sw_vmx128", "sw_vmx256")
+
+
+def _pinned(result) -> dict:
+    canonical = json.dumps(result_to_dict(result), sort_keys=True)
+    return {
+        "cycles": result.cycles,
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+
+
+def _check(key: str, result) -> None:
+    assert _pinned(result) == _ENTRIES[key], key
+
+
+def _key(prefix: str, label: str, occupancy: bool) -> str:
+    return f"{prefix}/{label}" + ("/occupancy" if occupancy else "")
+
+
+@pytest.fixture(scope="module")
+def golden_suite() -> WorkloadSuite:
+    suite = _LANE_GOLDEN["suite"]
+    return WorkloadSuite(
+        database_config=SyntheticDatabaseConfig(
+            sequence_count=suite["sequence_count"],
+            family_count=suite["family_count"],
+            family_size=suite["family_size"],
+            seed=suite["seed"],
+            mean_length=suite["mean_length"],
+        ),
+        trace_budget=suite["trace_budget"],
+    )
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_simulate_matches_golden(golden_suite, workload):
+    trace = golden_suite.trace(workload).slice(_LANE_GOLDEN["suite"]["slice"])
+    for label, config in TABLE_PRESETS:
+        for occupancy in (False, True):
+            _check(
+                _key(f"table/{workload}", label, occupancy),
+                simulate(trace, config, track_occupancy=occupancy),
+            )
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_warmup_matches_golden(golden_suite, workload):
+    suite = _LANE_GOLDEN["suite"]
+    trace = golden_suite.trace(workload).slice(suite["slice"])
+    window = extract_window(
+        trace, suite["window"], suite["slice"] - suite["window"]
+    )
+    warmup = extract_window(trace, 0, suite["window"])
+    for label in _WARMUP_PRESETS:
+        _check(
+            f"warmup/{workload}/{label}",
+            simulate(window, _PRESETS[label], warmup=warmup),
+        )
+
+
+def test_random_traces_match_golden():
+    for seed in range(40):
+        trace = random_trace(seed, _LANE_GOLDEN["suite"]["fuzz_length"])
+        for label in _GOLDEN_FUZZ_POOL:
+            for occupancy in (False, True):
+                _check(
+                    _key(f"random/{seed}", label, occupancy),
+                    simulate(
+                        trace, _PRESETS[label],
+                        track_occupancy=occupancy, max_cycles=500_000,
+                    ),
+                )
