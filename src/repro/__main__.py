@@ -740,12 +740,6 @@ def _sweep_command(arguments: list[str]) -> int:
         "resume exactly where they stopped)",
     )
     parser.add_argument(
-        "--lockstep", action=argparse.BooleanOptionalAction, default=True,
-        help="execute points sharing a trace as lockstep multi-config "
-        "batches (default on; results are byte-identical either way, "
-        "and runs may freely mix engines across interrupt/resume)",
-    )
-    parser.add_argument(
         "--format", choices=("text", "json", "html"), default="text",
         help="report format (report action; default text)",
     )
@@ -806,7 +800,6 @@ def _sweep_command(arguments: list[str]) -> int:
             spec, runtime,
             state_dir=state_dir,
             max_points=options.max_points,
-            lockstep=options.lockstep,
         )
     finally:
         runtime.close()

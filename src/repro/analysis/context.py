@@ -98,49 +98,33 @@ class ExperimentContext:
             for request in requests
         ]
         keys = [self._memo_key(*request) for request in normalized]
+        missing: dict[tuple, tuple] = {}
+        for key, request in zip(keys, normalized):
+            if key not in self._results:
+                missing.setdefault(key, request)
         if self.runtime is not None:
-            missing: list[tuple] = []
-            missing_keys: list[tuple] = []
-            seen: set[tuple] = set()
-            for key, request in zip(keys, normalized):
-                if key in self._results or key in seen:
-                    continue
-                seen.add(key)
-                missing.append(request)
-                missing_keys.append(key)
             if missing:
-                for key, result in zip(
-                    missing_keys, self.runtime.simulate_many(missing)
-                ):
-                    self._results[key] = result
+                self._results.update(zip(
+                    missing, self.runtime.simulate_many(list(missing.values()))
+                ))
         else:
-            # Serial path: group memo misses by trace so figure-driver
-            # loops (one trace under many configurations) execute as
-            # lockstep batches; occupancy requests stay scalar.
+            # Serial path: group memo misses by trace and occupancy flag
+            # so figure-driver loops (one trace under many
+            # configurations) execute as lockstep batches.
             from repro.uarch.simulator import simulate_batch
 
-            pending: dict[int, tuple] = {}
-            ordered: list[tuple] = []
-            seen: set[tuple] = set()
-            for key, (trace, config, occupancy) in zip(keys, normalized):
-                if key in self._results or key in seen:
-                    continue
-                seen.add(key)
-                if occupancy:
-                    self.simulate_trace(trace, config, occupancy)
-                    continue
-                group = pending.get(id(trace))
-                if group is None:
-                    group = (trace, [], [])
-                    pending[id(trace)] = group
-                    ordered.append(group)
-                group[1].append(key)
-                group[2].append(config)
-            for trace, group_keys, configs in ordered:
-                for key, result in zip(
-                    group_keys, simulate_batch(trace, configs)
-                ):
-                    self._results[key] = result
+            pending: dict[tuple[int, bool], tuple] = {}
+            for key, (trace, config, occupancy) in missing.items():
+                group = pending.setdefault(
+                    (id(trace), occupancy), (trace, occupancy, [], [])
+                )
+                group[2].append(key)
+                group[3].append(config)
+            for trace, occupancy, group_keys, configs in pending.values():
+                self._results.update(zip(
+                    group_keys,
+                    simulate_batch(trace, configs, track_occupancy=occupancy),
+                ))
         return [self._results[key] for key in keys]
 
     def prefetch_workloads(

@@ -198,12 +198,15 @@ BENCH_LOCKSTEP_CONFIGS = tuple(
 )
 
 #: Floor on the lockstep batch's aggregate throughput versus running
-#: the same configurations back-to-back through the scalar core.  With
-#: worker processes (``jobs > 1``) the fork fan-out compounds with the
-#: shared-plane engine and the batch must clear 2.5x; single-CPU
-#: machines fall back to the in-process engine, where the floor only
-#: guards against lockstep regressing to slower-than-scalar (0.9
-#: rather than 1.0 to tolerate scheduler noise on loaded boxes).
+#: the same configurations as back-to-back :func:`simulate` calls
+#: (one-lane batches).  With worker processes (``jobs > 1``) the fork
+#: fan-out compounds with the shared planes and the batch must clear
+#: 2.5x; single-CPU machines fall back to the in-process engine, where
+#: the floor only guards against batching regressing to slower than
+#: one-lane runs (0.9 rather than 1.0 to tolerate scheduler noise on
+#: loaded boxes).  The report keys keep their ``scalar`` names
+#: (``scalar_ips``, ``speedup_vs_scalar``) so ``--check`` compares
+#: like with like against recorded baselines.
 LOCKSTEP_FLOOR_PARALLEL = 2.5
 LOCKSTEP_FLOOR_SERIAL = 0.9
 
@@ -211,25 +214,25 @@ LOCKSTEP_FLOOR_SERIAL = 0.9
 def bench_simulate_lockstep(
     trace: Trace, repeats: int, jobs: int | None = None
 ) -> dict[str, Any]:
-    """Lockstep batch throughput versus back-to-back scalar runs.
+    """Lockstep batch throughput versus back-to-back ``simulate`` calls.
 
     Simulates the :data:`BENCH_LOCKSTEP_CONFIGS` batch through
     :func:`~repro.uarch.simulator.simulate_batch` and reports the
     *aggregate* simulated instructions/second — total instructions
     retired across all configurations over the batch wall time — next
-    to the same aggregate for the equivalent sequence of scalar
-    :func:`~repro.uarch.simulator.simulate` calls.  ``jobs`` defaults
-    to ``min(len(configs), cpu_count)``, mirroring what the batch API
-    does on the runtime pool; the value actually used is recorded so
-    gates can distinguish the fork-parallel regime from the in-process
-    one.
+    to the same aggregate for the equivalent sequence of one-config
+    :func:`~repro.uarch.simulator.simulate` calls (``scalar_ips``).
+    ``jobs`` defaults to ``min(len(configs), cpu_count)``, mirroring
+    what the batch API does on the runtime pool; the value actually
+    used is recorded so gates can distinguish the fork-parallel regime
+    from the in-process one.
     """
     configs = [config for _, config in BENCH_LOCKSTEP_CONFIGS]
     if jobs is None:
         jobs = max(1, min(len(configs), os.cpu_count() or 1))
 
     # Warm the decode plane, shared planes, and code paths for both
-    # engines so neither side pays first-run costs inside the timing.
+    # sides so neither pays first-run costs inside the timing.
     simulate_batch(trace, configs, jobs=jobs)
     simulate(trace, configs[0])
 
@@ -370,10 +373,10 @@ def check_baseline(
 
 
 def check_lockstep_floor(report: dict[str, Any]) -> list[str]:
-    """Absolute floor on the lockstep batch's speedup over scalar runs.
+    """Absolute floor on the lockstep batch's speedup over single runs.
 
     Unlike :func:`check_baseline` this does not compare machines: the
-    batch and the scalar reference ran back-to-back on the same box, so
+    batch and the back-to-back ``simulate`` calls ran on the same box, so
     their ratio is machine-independent.  The floor depends on the
     regime the report recorded — :data:`LOCKSTEP_FLOOR_PARALLEL` when
     fork workers were in play (``jobs > 1``), else
@@ -389,7 +392,8 @@ def check_lockstep_floor(report: dict[str, Any]) -> list[str]:
     if speedup < floor:
         return [
             f"simulate_lockstep: {speedup:.2f}x aggregate vs "
-            f"{metric.get('configs')} scalar runs is below the "
+            f"{metric.get('configs')} back-to-back simulate() calls is "
+            "below the "
             f"{floor:.2f}x floor (jobs={jobs})"
         ]
     return []
@@ -672,7 +676,7 @@ def format_report(report: dict[str, Any]) -> str:
             lines.append(
                 f"    {metrics['configs']} configs, jobs={metrics['jobs']}: "
                 f"{metrics['speedup_vs_scalar']:.2f}x vs "
-                f"{metrics['configs']} scalar runs "
+                f"{metrics['configs']} back-to-back simulate() calls "
                 f"({metrics['scalar_ips']:,} instr/s aggregate)"
             )
     if isinstance(report.get("cluster"), dict):

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.cluster.router import RouterConfig
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import add_serve_arguments, serve_tcp
 
 #: Where ``up`` records the router address for the other subcommands.
@@ -94,7 +95,9 @@ async def admin_request(
     host: str, port: int, payload: dict, timeout: float = 600.0
 ) -> dict:
     """One admin round-trip against the router."""
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=MAX_LINE_BYTES
+    )
     try:
         writer.write((json.dumps(payload) + "\n").encode())
         await writer.drain()

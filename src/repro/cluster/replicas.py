@@ -21,7 +21,7 @@ import asyncio
 import contextlib
 import json
 
-from repro.serve.protocol import encode_response
+from repro.serve.protocol import MAX_LINE_BYTES, encode_response, read_line
 
 #: Lifecycle states a handle moves through.
 STATE_CONNECTING = "connecting"
@@ -70,7 +70,7 @@ class ReplicaHandle:
     async def connect(self) -> None:
         """Open the connection and learn the replica's capacity."""
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_LINE_BYTES
         )
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_responses()
@@ -107,10 +107,18 @@ class ReplicaHandle:
     async def _read_responses(self) -> None:
         try:
             while True:
-                raw = await self._reader.readline()
-                if not raw:
-                    break
-                response = json.loads(raw)
+                try:
+                    line = await read_line(self._reader)
+                    if line is None:
+                        break
+                    response = json.loads(line)
+                except ValueError:  # ProtocolError or bad JSON
+                    # A line with no readable id answers nobody; its
+                    # request runs into its own timeout upstream.  The
+                    # link itself is fine, so keep reading.
+                    continue
+                if not isinstance(response, dict):
+                    continue
                 future = self._pending.pop(
                     str(response.get("id", "")), None
                 )

@@ -43,6 +43,10 @@ from repro.workloads.suite import WorkloadSuite
 #: A simulate request: (trace, config, track_occupancy).
 SimRequest = tuple[Trace, ProcessorConfig, bool]
 
+#: Cache misses run as one task: (digests, trace, configs,
+#: track_occupancy), one digest per config.
+SimGroup = tuple[list[str], Trace, list[ProcessorConfig], bool]
+
 #: A search-shard request:
 #: (params, query, database_config, shard_index, shard_count).
 SearchRequest = tuple[SearchParams, Sequence, object, int, int]
@@ -143,42 +147,39 @@ class ExperimentRuntime:
         requests: list[SimRequest],
         miss_order: list[str],
         miss_indices: dict[str, list[int]],
-    ) -> list[tuple[list[str], Trace, list[ProcessorConfig]]]:
+    ) -> list[SimGroup]:
         """Group pending misses into lockstep batches.
 
-        Misses over the same trace object (the sweep and figure-driver
-        shape: one trace under many configurations) group into batches
-        of up to :data:`~repro.uarch.pipeline.lockstep.LOCKSTEP_WIDTH`
-        configs; occupancy-tracking requests and leftovers stay
-        singleton groups, which execute as plain scalar tasks.
+        Misses over the same trace object with the same occupancy flag
+        (the sweep and figure-driver shape: one trace under many
+        configurations) group into batches of up to
+        :data:`~repro.uarch.pipeline.lockstep.LOCKSTEP_WIDTH` configs.
         """
-        groups: list[tuple[list[str], Trace, list[ProcessorConfig]]] = []
-        open_group: dict[int, tuple] = {}
+        groups: list[SimGroup] = []
+        open_group: dict[tuple[int, bool], SimGroup] = {}
         for digest in miss_order:
             trace, config, occupancy = requests[miss_indices[digest][0]]
-            if occupancy:
-                groups.append(([digest], trace, [config]))
-                continue
-            group = open_group.get(id(trace))
+            key = (id(trace), occupancy)
+            group = open_group.get(key)
             if group is None or len(group[0]) >= LOCKSTEP_WIDTH:
-                group = ([digest], trace, [config])
-                open_group[id(trace)] = group
+                group = ([digest], trace, [config], occupancy)
+                open_group[key] = group
                 groups.append(group)
             else:
                 group[0].append(digest)
                 group[2].append(config)
         return groups
 
-    def simulate_many(
-        self, requests: list[SimRequest], *, lockstep: bool = True
-    ) -> list[SimulationResult]:
-        """Resolve a batch of simulations, fanning misses out in parallel.
+    def _pending_groups(
+        self, requests: list[SimRequest], kind: str
+    ) -> tuple[
+        list[SimulationResult | None], dict[str, list[int]], list[SimGroup]
+    ]:
+        """Resolve cache hits; group the misses into lockstep batches.
 
-        Duplicate requests (same trace content, config, and occupancy
-        flag) execute once; results come back in request order.  With
-        ``lockstep`` (the default), misses sharing a trace execute as
-        lockstep multi-config batches; results are byte-identical
-        either way.
+        Returns the results so far (``None`` for misses), each miss
+        digest's request indices (duplicates collapse onto one digest),
+        and the miss groups.
         """
         requests = [
             (trace, config, bool(occupancy))
@@ -197,37 +198,71 @@ class ExperimentRuntime:
             if cached is not None:
                 results[index] = cached
                 self.metrics.record_hit(
-                    "simulate",
+                    kind,
                     _simulate_label(trace, config, occupancy),
                     time.perf_counter() - start,
                 )
             else:
                 miss_indices[digest] = [index]
                 miss_order.append(digest)
+        groups = self._lockstep_groups(requests, miss_order, miss_indices)
+        return results, miss_indices, groups
 
-        if lockstep:
-            groups = self._lockstep_groups(requests, miss_order, miss_indices)
-        else:
-            groups = [
-                ([digest],
-                 requests[miss_indices[digest][0]][0],
-                 [requests[miss_indices[digest][0]][1]])
-                for digest in miss_order
-            ]
+    def _trace_ref(self, trace: Trace) -> object:
+        """The trace itself in-process, else the path of its spill."""
+        if self.executor.inline:
+            if self.strict:
+                from repro.verify import check_trace
+
+                check_trace(trace)
+            return trace
+        return str(self.cache.store_trace(
+            trace_digest(trace), trace, strict=self.strict
+        ))
+
+    def _record_group(
+        self,
+        kind: str,
+        group: SimGroup,
+        outcome: TaskOutcome,
+    ) -> list:
+        """Per-point metrics for one finished group; returns its values.
+
+        A lockstep batch counts exactly like the single runs it
+        replaces (same labels, wall time split across the batch,
+        retries charged once), so counters diffed around a run keep
+        meaning "points executed".
+        """
+        digests, trace, configs, occupancy = group
+        values = outcome.value if len(digests) > 1 else [outcome.value]
+        share = outcome.wall_time / len(digests)
+        for position, config in enumerate(configs):
+            self.metrics.record_executed(
+                kind,
+                _simulate_label(trace, config, occupancy),
+                share,
+                outcome.retries if position == 0 else 0,
+                outcome.where,
+            )
+        return values
+
+    def simulate_many(
+        self, requests: list[SimRequest]
+    ) -> list[SimulationResult]:
+        """Resolve a batch of simulations, fanning misses out in parallel.
+
+        Duplicate requests (same trace content, config, and occupancy
+        flag) execute once; results come back in request order.  Misses
+        sharing a trace and occupancy flag execute as lockstep
+        multi-config batches.
+        """
+        results, miss_indices, groups = self._pending_groups(
+            requests, "simulate"
+        )
         tasks = []
-        for digests, trace, configs in groups:
-            if self.executor.inline:
-                if self.strict:
-                    from repro.verify import check_trace
-
-                    check_trace(trace)
-                trace_ref: object = trace
-            else:
-                trace_ref = str(self.cache.store_trace(
-                    trace_digest(trace), trace, strict=self.strict
-                ))
+        for digests, trace, configs, occupancy in groups:
+            trace_ref = self._trace_ref(trace)
             if len(digests) == 1:
-                occupancy = requests[miss_indices[digests[0]][0]][2]
                 tasks.append(Task(
                     kind="simulate",
                     payload=(trace_ref, configs[0], occupancy),
@@ -236,29 +271,13 @@ class ExperimentRuntime:
             else:
                 tasks.append(Task(
                     kind="simulate_batch",
-                    payload=(trace_ref, tuple(configs)),
+                    payload=(trace_ref, tuple(configs), occupancy),
                     label=_batch_label(trace, configs),
                 ))
         outcomes = self.executor.run_many(tasks)
-        for (digests, trace, configs), outcome in zip(groups, outcomes):
-            values = (
-                outcome.value if len(digests) > 1 else [outcome.value]
-            )
-            # One metrics record per point: a lockstep batch counts
-            # exactly like the scalar runs it replaces (same labels,
-            # wall time split across the batch, retries charged once).
-            share = outcome.wall_time / len(digests)
-            for position, (digest, config, result) in enumerate(
-                zip(digests, configs, values)
-            ):
-                occupancy = requests[miss_indices[digest][0]][2]
-                self.metrics.record_executed(
-                    "simulate",
-                    _simulate_label(trace, config, occupancy),
-                    share,
-                    outcome.retries if position == 0 else 0,
-                    outcome.where,
-                )
+        for group, outcome in zip(groups, outcomes):
+            values = self._record_group("simulate", group, outcome)
+            for digest, result in zip(group[0], values):
                 self.cache.store_result(digest, result)
                 for index in miss_indices[digest]:
                     results[index] = result
@@ -267,7 +286,7 @@ class ExperimentRuntime:
     # -- sweep point tasks --------------------------------------------------
 
     def sweep_points(
-        self, requests: list[SimRequest], *, lockstep: bool = True
+        self, requests: list[SimRequest]
     ) -> list[SimulationResult]:
         """Resolve a batch of sweep grid points (cache-first, parallel).
 
@@ -278,64 +297,22 @@ class ExperimentRuntime:
         byte-for-byte.  The difference is durability: ``sweep_point`` /
         ``sweep_batch`` workers store their results into the persistent
         cache *themselves*, so a point survives even if this
-        orchestrating process dies before the batch returns.  With
-        ``lockstep`` (the default), points sharing a trace execute as
-        lockstep multi-config batches; the per-point cache entries stay
-        byte-for-byte identical either way.
+        orchestrating process dies before the batch returns.
         """
-        requests = [
-            (trace, config, bool(occupancy))
-            for trace, config, occupancy in requests
-        ]
-        results: list[SimulationResult | None] = [None] * len(requests)
-        miss_indices: dict[str, list[int]] = {}
-        miss_order: list[str] = []
-        for index, (trace, config, occupancy) in enumerate(requests):
-            digest = simulate_key(trace, config, occupancy)
-            if digest in miss_indices:
-                miss_indices[digest].append(index)
-                continue
-            start = time.perf_counter()
-            cached = self.cache.load_result(digest)
-            if cached is not None:
-                results[index] = cached
-                self.metrics.record_hit(
-                    "sweep",
-                    _simulate_label(trace, config, occupancy),
-                    time.perf_counter() - start,
-                )
-            else:
-                miss_indices[digest] = [index]
-                miss_order.append(digest)
+        from repro.runtime.cache import result_from_dict
 
-        if lockstep:
-            groups = self._lockstep_groups(requests, miss_order, miss_indices)
-        else:
-            groups = [
-                ([digest],
-                 requests[miss_indices[digest][0]][0],
-                 [requests[miss_indices[digest][0]][1]])
-                for digest in miss_order
-            ]
+        results, miss_indices, groups = self._pending_groups(
+            requests, "sweep"
+        )
+        root = str(self.cache.root)
         tasks = []
-        for digests, trace, configs in groups:
-            if self.executor.inline:
-                if self.strict:
-                    from repro.verify import check_trace
-
-                    check_trace(trace)
-                trace_ref: object = trace
-            else:
-                trace_ref = str(self.cache.store_trace(
-                    trace_digest(trace), trace, strict=self.strict
-                ))
+        for digests, trace, configs, occupancy in groups:
+            trace_ref = self._trace_ref(trace)
             if len(digests) == 1:
-                occupancy = requests[miss_indices[digests[0]][0]][2]
                 tasks.append(Task(
                     kind="sweep_point",
                     payload=(
-                        trace_ref, configs[0], occupancy,
-                        str(self.cache.root), digests[0],
+                        trace_ref, configs[0], occupancy, root, digests[0],
                     ),
                     label=_simulate_label(trace, configs[0], occupancy),
                 ))
@@ -343,33 +320,15 @@ class ExperimentRuntime:
                 tasks.append(Task(
                     kind="sweep_batch",
                     payload=(
-                        trace_ref, tuple(configs),
-                        str(self.cache.root), tuple(digests),
+                        trace_ref, tuple(configs), occupancy, root,
+                        tuple(digests),
                     ),
                     label=_batch_label(trace, configs),
                 ))
         outcomes = self.executor.run_many(tasks)
-        from repro.runtime.cache import result_from_dict
-
-        for (digests, trace, configs), outcome in zip(groups, outcomes):
-            values = (
-                outcome.value if len(digests) > 1 else [outcome.value]
-            )
-            # Per-point metrics, exactly as on the scalar path (see
-            # simulate_many): counters diffed around a sweep keep
-            # meaning "grid points executed" under either engine.
-            share = outcome.wall_time / len(digests)
-            for position, (digest, config, value) in enumerate(
-                zip(digests, configs, values)
-            ):
-                occupancy = requests[miss_indices[digest][0]][2]
-                self.metrics.record_executed(
-                    "sweep",
-                    _simulate_label(trace, config, occupancy),
-                    share,
-                    outcome.retries if position == 0 else 0,
-                    outcome.where,
-                )
+        for group, outcome in zip(groups, outcomes):
+            values = self._record_group("sweep", group, outcome)
+            for digest, value in zip(group[0], values):
                 result = result_from_dict(value)
                 for index in miss_indices[digest]:
                     results[index] = result

@@ -14,8 +14,8 @@ Kinds
     of a spilled ``.trace.npz`` (pool workers).  Returns the
     :class:`~repro.uarch.results.SimulationResult`.
 ``simulate_batch``
-    ``(trace_ref, configs)`` — one trace under many configurations
-    through the lockstep engine
+    ``(trace_ref, configs, track_occupancy)`` — one trace under many
+    configurations as one lockstep batch
     (:func:`repro.uarch.simulator.simulate_batch`); returns the list of
     results in config order, each byte-identical to the corresponding
     ``simulate`` task's.
@@ -42,12 +42,12 @@ Kinds
     durable the moment its simulation ends, and the re-run finds it as
     a cache hit.
 ``sweep_batch``
-    ``(trace_ref, configs, cache_root, digests)`` — several sweep grid
-    points over one trace, simulated as a lockstep batch.  Each point's
-    result is stored under its own digest from the worker the moment
-    the batch finishes (same per-point cache entries, byte-for-byte, as
-    ``sweep_point`` would produce), and the return value is the list of
-    result dicts in config order.
+    ``(trace_ref, configs, track_occupancy, cache_root, digests)`` —
+    several sweep grid points over one trace, simulated as a lockstep
+    batch.  Each point's result is stored under its own digest from the
+    worker the moment the batch finishes (same per-point cache entries,
+    byte-for-byte, as ``sweep_point`` would produce), and the return
+    value is the list of result dicts in config order.
 ``search_shard``
     ``(params_key, queries, database_config, shard_index, shard_count
     [, store_root])`` — scans one deterministic shard of the database
@@ -106,9 +106,11 @@ def execute_simulate(payload: tuple):
 
 
 def execute_simulate_batch(payload: tuple) -> list:
-    trace_ref, configs = payload
+    trace_ref, configs, track_occupancy = payload
     trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    return simulate_batch(trace, list(configs))
+    return simulate_batch(
+        trace, list(configs), track_occupancy=track_occupancy
+    )
 
 
 def execute_trace(payload: tuple) -> dict:
@@ -147,9 +149,11 @@ def execute_sweep_point(payload: tuple) -> dict:
 def execute_sweep_batch(payload: tuple) -> list:
     from repro.runtime.cache import ResultCache, result_to_dict
 
-    trace_ref, configs, cache_root, digests = payload
+    trace_ref, configs, track_occupancy, cache_root, digests = payload
     trace = trace_ref if isinstance(trace_ref, Trace) else load_trace(trace_ref)
-    results = simulate_batch(trace, list(configs))
+    results = simulate_batch(
+        trace, list(configs), track_occupancy=track_occupancy
+    )
     cache = ResultCache(cache_root)
     for digest, result in zip(digests, results):
         cache.store_result(digest, result)

@@ -25,6 +25,12 @@ full or draining — the 429 analogue, with a ``reason``), ``timeout``
 ``error`` text).  ``ok`` search responses embed a ranked hit list in
 the :func:`repro.align.batch.result_to_dict` shape.
 
+Endpoints read lines of at most :data:`MAX_LINE_BYTES`.
+:func:`read_line` is the one reader all transports use: an oversize or
+non-UTF-8 line is discarded through its newline and reported as a
+:class:`ProtocolError`, so the connection stays aligned and keeps
+serving.  :func:`encode_line` keeps responses inside the bound.
+
 ``status`` reports liveness/load (in-flight count, queue depth,
 draining flag) — the cluster router uses it for admission capacity
 discovery, and ``repro cluster status`` renders it.  ``admin`` is the
@@ -34,6 +40,7 @@ plain replicas answer it with an error.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 
@@ -47,6 +54,11 @@ STATUS_ERROR = "error"
 
 #: Request operations.
 OPS = ("search", "telemetry", "ping", "status", "admin")
+
+#: Longest wire line (bytes, newline excluded) any endpoint reads.
+#: Stream readers open with this as their limit; an ordinary search
+#: response (500 hits) is under 100 KB.
+MAX_LINE_BYTES = 4 * 1024 * 1024
 
 
 class ProtocolError(ValueError):
@@ -113,6 +125,62 @@ def decode_search(data: dict) -> SearchRequest:
 def encode_response(response: dict) -> str:
     """Serialize one response object to its wire line (no newline)."""
     return json.dumps(response, separators=(",", ":"))
+
+
+def encode_line(response: dict) -> bytes:
+    """One response as wire bytes, newline included.
+
+    A response that would exceed :data:`MAX_LINE_BYTES` is replaced by
+    an error response for the same id, so no endpoint ever has to read
+    a line it would refuse.
+    """
+    line = encode_response(response)
+    if len(line) > MAX_LINE_BYTES:  # ASCII-only: chars == bytes
+        line = encode_response(error_response(
+            str(response.get("id", "")),
+            f"response exceeds {MAX_LINE_BYTES} bytes; "
+            "request fewer results (best_count)",
+        ))
+    return (line + "\n").encode()
+
+
+async def read_line(reader: asyncio.StreamReader) -> str | None:
+    """The next line from ``reader`` as text; ``None`` at end of stream.
+
+    ``reader`` must be opened with ``limit=MAX_LINE_BYTES``.  A line
+    over the limit, or one that is not UTF-8, raises
+    :class:`ProtocolError` only after the rest of it has been discarded
+    through the next newline: the caller answers with an error and
+    keeps reading from a stream that is still aligned on lines.
+    """
+    try:
+        raw = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            return None
+        raw = error.partial  # final line without a newline
+    except asyncio.LimitOverrunError:
+        await _discard_line(reader)
+        raise ProtocolError(
+            f"line exceeds {MAX_LINE_BYTES} bytes"
+        ) from None
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise ProtocolError("line is not valid UTF-8") from None
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop buffered bytes through the next newline (or end of stream)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as error:
+            # ``consumed`` bytes precede any newline in the buffer.
+            await reader.readexactly(error.consumed)
+        except asyncio.IncompleteReadError:
+            return
 
 
 def ok_response(request_id: str, result: dict, **extra) -> dict:

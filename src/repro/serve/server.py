@@ -24,11 +24,13 @@ from repro.bio.synthetic import SyntheticDatabaseConfig, generate_database
 from repro.runtime.engine import ExperimentRuntime
 from repro.serve.admission import AdmissionController, QueueFull
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     decode_line,
     decode_search,
-    encode_response,
+    encode_line,
     error_response,
+    read_line,
     shed_response,
     timeout_response,
 )
@@ -304,35 +306,41 @@ async def serve_tcp(
 
     async def handle_connection(reader, writer):
         write_lock = asyncio.Lock()
+        tasks = set()
 
-        async def answer(line: str) -> None:
-            response = await service.handle_line(line)
-            payload = (encode_response(response) + "\n").encode()
+        async def reply(response: dict) -> None:
             async with write_lock:
-                writer.write(payload)
+                writer.write(encode_line(response))
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
 
-        tasks = set()
+        async def answer(line: str) -> None:
+            await reply(await service.handle_line(line))
+
+        def spawn(coroutine) -> None:
+            # Per-line tasks: a pipelining client gets responses as
+            # they finish (matched by id), not in lockstep.
+            task = asyncio.get_running_loop().create_task(coroutine)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                line = raw.decode().strip()
-                if not line:
+                try:
+                    line = await read_line(reader)
+                except ProtocolError as error:
+                    spawn(reply(error_response("", str(error))))
                     continue
-                # Per-line tasks: a pipelining client gets responses
-                # as they finish (matched by id), not in lockstep.
-                task = asyncio.get_running_loop().create_task(
-                    answer(line)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            # server.close() cancels connection handlers at shutdown;
-            # fall through to flush in-flight answers and close the
-            # socket instead of dying mid-teardown with a traceback.
+                if line is None:
+                    break
+                line = line.strip()
+                if line:
+                    spawn(answer(line))
+        except (asyncio.CancelledError, ConnectionError):
+            # server.close() cancels connection handlers at shutdown,
+            # and a client may reset mid-line; fall through to flush
+            # in-flight answers and close the socket instead of dying
+            # mid-teardown with a traceback.
             pass
         finally:
             if tasks:
@@ -341,21 +349,49 @@ async def serve_tcp(
                 writer.close()
                 await writer.wait_closed()
 
-    return await asyncio.start_server(handle_connection, host, port)
+    return await asyncio.start_server(
+        handle_connection, host, port, limit=MAX_LINE_BYTES
+    )
 
 
 async def serve_stdio(service: AlignmentService) -> None:
-    """Serve JSON lines from stdin to stdout until EOF."""
+    """Serve JSON lines from stdin to stdout until EOF.
+
+    A thread feeds stdin into a stream reader so lines go through the
+    same :func:`~repro.serve.protocol.read_line` as the TCP transport.
+    """
+    stdin = sys.stdin.buffer
+    stdout = sys.stdout.buffer
     loop = asyncio.get_running_loop()
-    while True:
-        raw = await loop.run_in_executor(None, sys.stdin.readline)
-        if not raw:
-            break
-        line = raw.strip()
-        if not line:
-            continue
-        response = await service.handle_line(line)
-        print(encode_response(response), flush=True)
+    reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
+
+    async def pump() -> None:
+        while True:
+            chunk = await loop.run_in_executor(None, stdin.read1, 1 << 16)
+            if not chunk:
+                reader.feed_eof()
+                return
+            reader.feed_data(chunk)
+
+    feeder = loop.create_task(pump())
+    try:
+        while True:
+            try:
+                line = await read_line(reader)
+            except ProtocolError as error:
+                response = error_response("", str(error))
+            else:
+                if line is None:
+                    break
+                line = line.strip()
+                if not line:
+                    continue
+                response = await service.handle_line(line)
+            stdout.write(encode_line(response))
+            stdout.flush()
+    finally:
+        feeder.cancel()
+        await asyncio.gather(feeder, return_exceptions=True)
 
 
 # -- CLI --------------------------------------------------------------------

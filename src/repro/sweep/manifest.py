@@ -20,7 +20,9 @@ Writes are atomic (temporary file + ``os.replace``) and happen after
 every executed batch, so an interrupted campaign loses at most the
 in-flight batch.  Contents are serialized with sorted keys: a manifest
 reached by interrupt-plus-resume is byte-identical to one from an
-uninterrupted run.
+uninterrupted run.  Keys a manifest carries beyond these (older runs
+recorded an informational ``engine``) are ignored on load and dropped
+on the next save.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ class SweepManifest:
     spec_digest: str
     #: point_id -> {"digest", "workload", "coords", "metrics"}.
     points: dict[str, dict] = field(default_factory=dict)
-    #: Execution engine of the most recent run that executed points
-    #: ("lockstep" or "scalar"; "" before anything ran).  Informational:
-    #: results are byte-identical across engines, so resume never keys
-    #: on it — which is also what keeps a manifest reached through an
-    #: engine switch byte-identical to a single-engine run's.
-    engine: str = ""
 
     @classmethod
     def open(cls, state_dir: str | Path, spec: SweepSpec) -> "SweepManifest":
@@ -74,9 +70,6 @@ class SweepManifest:
         points = data.get("points")
         if isinstance(points, dict):
             manifest.points = points
-        engine = data.get("engine")
-        if isinstance(engine, str):
-            manifest.engine = engine
         return manifest
 
     def record(
@@ -111,7 +104,6 @@ class SweepManifest:
             "version": MANIFEST_VERSION,
             "sweep": self.sweep,
             "spec_digest": self.spec_digest,
-            "engine": self.engine,
             "points": {
                 point_id: self.points[point_id]
                 for point_id in sorted(self.points)

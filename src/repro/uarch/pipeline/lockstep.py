@@ -1,12 +1,10 @@
-"""Lockstep multi-config simulation: one trace under N configurations.
+"""The simulator engine: one trace under N configurations as one batch.
 
-The paper's Tables IV-VI and Figures 5/9 all re-simulate the *same*
-trace under many processor configurations.  The scalar
-:class:`~repro.uarch.pipeline.core.OutOfOrderCore` already shares the
-config-independent decode plane across runs, but each run still pays
-the full per-instruction frontend walk (I-cache lookup, direction
-prediction, BTB), the per-instruction retire walk, and a wakeup-list
-allocation per dispatched instruction — all of which are *identical or
+Every simulation in the repo runs here — :func:`repro.uarch.simulate`
+is a one-lane batch.  The paper's Tables IV-VI and Figures 5/9 all
+re-simulate the *same* trace under many processor configurations, and
+most of the per-instruction work (I-cache lookup, direction prediction,
+BTB, the retire walk, wakeup-list construction) is *identical or
 precomputable* across the sweep axis.
 
 :class:`LockstepCore` batches that work.  A batch over one trace splits
@@ -30,16 +28,40 @@ into two layers:
   precomputed break positions instead of walking instructions,
   retirement frees registers via prefix-sum differences in O(1) per
   cycle, wakeup uses the shared consumer lists with per-lane
-  undone-source counters (no per-dispatch allocation), and the ready
+  undone-source counters (no per-dispatch allocation), the ready
   queues carry an occupancy bitmask so issue touches only non-empty
-  unit queues.  Dispatch, issue, and the quiescent-cycle fast-forward
-  replicate the scalar core's state transitions exactly.
+  unit queues, and quiescent cycles are fast-forwarded in one step.
 
-Cycle-exactness is the gate: for every configuration in a batch the
-returned :class:`SimulationResult` is *byte-identical* to the scalar
-core's (tests/test_lockstep_core.py pins the full golden matrix and a
-hypothesis fuzz).  The scalar core stays untouched as the reference
-implementation.
+The pipeline model itself (Turandot-style, trace-driven):
+
+* frontend: I-cache, direction predictor + NFA/BTB, instruction buffer,
+  fetch-group breaks on taken branches, a cap on in-flight predicted
+  branches, and fetch stall on unresolved mispredictions;
+* dispatch: physical-register (GPR/VPR/FPR) allocation, per-unit issue
+  queues, in-flight and reorder-queue capacity, in-order store queue;
+* issue/execute: per-class unit pools (fully pipelined), wakeup driven
+  by producer completion, D-cache read/write ports, MSHR-limited
+  outstanding misses, store-to-load alias stalls, two-level data cache
+  with memory behind it;
+* retire: in-order, bounded width.
+
+Wrong-path execution is not replayed (the trace has no wrong path);
+mispredictions stall fetch until the branch resolves plus the recovery
+time.  Each cycle dispatch moves fewer instructions than its width, one
+trauma is charged for the blocking reason, with blame forwarded to the
+head of whichever structure is stuck (see :mod:`repro.uarch.traumas`).
+
+Optional per-lane features: ``track_occupancy`` records the Fig. 10
+queue, in-flight, and reorder-queue occupancy histograms (fast-forwarded
+spans included), and ``warmup`` functionally warms each lane's caches,
+TLBs, predictor, and BTB with another trace before timing begins
+(window sampling); warmed planes are private to the lane.
+
+Cycle-exactness is the gate: ``tests/golden/lane_golden.json`` pins
+every lane's full result (it was written by the scalar core this
+engine replaced, while both agreed), and ``tests/golden/core_golden.json``
+pins the paper workloads against the original object-per-instruction
+model.
 """
 
 from __future__ import annotations
@@ -52,7 +74,7 @@ import numpy as np
 from repro.isa.opcodes import FunctionalUnit
 from repro.isa.trace import Trace
 from repro.uarch.branch.btb import BranchTargetBuffer
-from repro.uarch.branch.predictors import create_predictor
+from repro.uarch.branch.predictors import DirectionPredictor, create_predictor
 from repro.uarch.caches import Cache, MemoryHierarchy, Tlb
 from repro.uarch.config import (
     BranchPredictorConfig,
@@ -76,6 +98,15 @@ _DIQ_OF = tuple(diq_trauma(fu) for fu in FunctionalUnit)
 
 _N_UNITS = len(FunctionalUnit)
 _LDST = int(FunctionalUnit.LDST)
+
+#: Queues tracked for Fig. 10 occupancy histograms.
+_TRACKED_QUEUES: tuple[tuple[str, int], ...] = (
+    ("FIX-Q", int(FunctionalUnit.FX)),
+    ("MEM-Q", _LDST),
+    ("BR-Q", int(FunctionalUnit.BR)),
+    ("VI-Q", int(FunctionalUnit.VI)),
+    ("VPER-Q", int(FunctionalUnit.VPER)),
+)
 
 #: Preferred batch width: the sweep planner groups points over the same
 #: trace into batches of this many configurations, keeping the runtime
@@ -118,21 +149,15 @@ class _BranchPlane:
         plane: DecodedTrace,
         positions: list[int],
         branch: BranchPredictorConfig,
+        warmed: tuple[DirectionPredictor | None, BranchTargetBuffer]
+        | None = None,
     ) -> None:
         pcs = plane.pc
         takens = plane.taken
         targets = plane.target
-        perfect = branch.kind == "perfect"
-        predict_and_update = (
-            None if perfect
-            else create_predictor(
-                branch.kind, branch.table_entries
-            ).predict_and_update
-        )
-        btb = BranchTargetBuffer(
-            branch.btb_entries, branch.btb_associativity,
-            branch.btb_miss_penalty,
-        )
+        predictor, btb = _branch_state(branch) if warmed is None else warmed
+        perfect = predictor is None
+        predict_and_update = None if perfect else predictor.predict_and_update
         btb_lookup = btb.lookup
         btb_install = btb.install
         code = bytearray(len(positions))
@@ -188,9 +213,14 @@ class _FrontPlane:
         plane: DecodedTrace,
         positions: list[int],
         memory: MemoryConfig,
+        il1: Cache | None = None,
+        itlb: Tlb | None = None,
     ) -> None:
-        il1 = Cache(memory.il1)
-        itlb = Tlb(memory.itlb)
+        # Fresh structures unless the lane hands over warmed ones.
+        if il1 is None:
+            il1 = Cache(memory.il1)
+        if itlb is None:
+            itlb = Tlb(memory.itlb)
         il1_access = il1.access
         itlb_access = itlb.access
         shift = memory.il1.line_bytes.bit_length() - 1
@@ -221,6 +251,60 @@ class _FrontPlane:
         self.next_stall = np.minimum.accumulate(marks[::-1])[::-1].tolist()
 
 
+def _branch_state(
+    branch: BranchPredictorConfig,
+) -> tuple[DirectionPredictor | None, BranchTargetBuffer]:
+    """A cold direction predictor (``None`` when perfect) and BTB."""
+    predictor = (
+        None if branch.kind == "perfect"
+        else create_predictor(branch.kind, branch.table_entries)
+    )
+    btb = BranchTargetBuffer(
+        branch.btb_entries, branch.btb_associativity, branch.btb_miss_penalty
+    )
+    return predictor, btb
+
+
+def _functional_warmup(
+    warm: DecodedTrace, config: ProcessorConfig
+) -> tuple[MemoryHierarchy, DirectionPredictor | None, BranchTargetBuffer]:
+    """Replay a warmup trace through one lane's long-lived structures.
+
+    Caches, TLBs, the direction predictor, and the BTB see the warmup
+    stream (SMARTS-style functional warming); cache statistics are reset
+    afterwards so results reflect only the measured trace.  Returns the
+    warmed hierarchy, predictor (``None`` when perfect), and BTB.
+    """
+    hierarchy = MemoryHierarchy(config.memory)
+    predictor, btb = _branch_state(config.branch)
+    access_inst = hierarchy.access_inst
+    access_data = hierarchy.access_data
+    btb_install = btb.install
+    lines = warm.line
+    pcs = warm.pc
+    addresses = warm.address
+    sizes = warm.size
+    takens = warm.taken
+    targets = warm.target
+    is_memory = warm.is_memory
+    is_branch = warm.is_branch
+    last_line = -1
+    for index in range(warm.n):
+        line = lines[index]
+        if line != last_line:
+            access_inst(pcs[index])
+            last_line = line
+        if is_memory[index]:
+            access_data(addresses[index], sizes[index])
+        elif is_branch[index]:
+            if predictor is not None:
+                predictor.update(pcs[index], takens[index])
+            if takens[index]:
+                btb_install(pcs[index], targets[index])
+    hierarchy.reset_stats()
+    return hierarchy, predictor, btb
+
+
 class SharedPlanes:
     """Config-independent batch planes, built once per trace.
 
@@ -241,8 +325,8 @@ class SharedPlanes:
         n = plane.n
         # Wakeup inversion: consumers[p] lists the instructions reading
         # producer p, in ascending (= dispatch) order.  Shared by every
-        # lane; per-lane undone-source counters replace the scalar
-        # core's per-dispatch waiter-list allocations.
+        # lane; per-lane undone-source counters replace per-dispatch
+        # waiter-list allocations.
         consumers: list[list[int] | None] = [None] * n
         for index, row in enumerate(plane.sources):
             for source in row:
@@ -337,11 +421,11 @@ def shared_planes(plane: DecodedTrace) -> SharedPlanes:
 class LockstepCore:
     """Simulate one trace under N configurations as one batch.
 
-    Results are returned in the order of ``configs`` and are
-    byte-identical to ``OutOfOrderCore(trace, config).run()`` for each.
-    Occupancy tracking and functional warmup are scalar-only features;
-    :func:`repro.uarch.simulator.simulate_batch` routes those requests
-    to the scalar core.
+    Results come back in the order of ``configs``; each equals what a
+    one-configuration batch produces for that configuration.
+    ``track_occupancy`` adds the Fig. 10 occupancy histograms;
+    ``warmup`` functionally warms every lane with another trace before
+    timing begins.  ``max_cycles`` guards against runaway simulations.
     """
 
     def __init__(
@@ -349,26 +433,50 @@ class LockstepCore:
         trace: Trace,
         configs: Sequence[ProcessorConfig],
         max_cycles: int | None = None,
+        track_occupancy: bool = False,
+        warmup: Trace | None = None,
     ) -> None:
         self.trace = trace
         self.configs = list(configs)
         self.max_cycles = max_cycles
+        self.track_occupancy = track_occupancy
+        self.warmup = warmup
 
     def run(self) -> list[SimulationResult]:
         """Simulate every configuration; returns results in input order."""
         plane = decode_trace(self.trace)
         shared = shared_planes(plane)
-        name = self.trace.name
+        warm = None if self.warmup is None else decode_trace(self.warmup)
         results = []
         for config in self.configs:
+            if warm is None:
+                hierarchy = MemoryHierarchy(config.memory)
+                bplane = shared.branch_plane(plane, config.branch)
+                fplane = shared.front_plane(plane, config.memory)
+            else:
+                # Warmed planes depend on the warmup stream, so they
+                # stay private to the lane rather than cached on the
+                # decode plane.  The front plane takes over the warmed
+                # IL1/ITLB: the lane itself only reads L2 behind them.
+                hierarchy, predictor, btb = _functional_warmup(warm, config)
+                bplane = _BranchPlane(
+                    plane, shared.branch_positions, config.branch,
+                    (predictor, btb),
+                )
+                fplane = _FrontPlane(
+                    plane, shared.event_positions, config.memory,
+                    hierarchy.il1, hierarchy.itlb,
+                )
             results.append(_run_lane(
-                name,
+                self.trace.name,
                 plane,
                 shared,
                 config,
-                shared.branch_plane(plane, config.branch),
-                shared.front_plane(plane, config.memory),
+                hierarchy,
+                bplane,
+                fplane,
                 self.max_cycles,
+                self.track_occupancy,
             ))
         return results
 
@@ -383,9 +491,10 @@ _fork_state: tuple | None = None
 
 
 def _run_fork_chunk(indices: list[int]) -> list[SimulationResult]:
-    trace, configs, max_cycles = _fork_state
+    trace, configs, max_cycles, track_occupancy, warmup = _fork_state
     return LockstepCore(
-        trace, [configs[index] for index in indices], max_cycles=max_cycles
+        trace, [configs[index] for index in indices], max_cycles,
+        track_occupancy, warmup,
     ).run()
 
 
@@ -394,6 +503,8 @@ def run_batch_forked(
     configs: Sequence[ProcessorConfig],
     max_cycles: int | None,
     jobs: int,
+    track_occupancy: bool = False,
+    warmup: Trace | None = None,
 ) -> list[SimulationResult] | None:
     """Run a lockstep batch across forked workers; ``None`` if unavailable.
 
@@ -414,12 +525,15 @@ def run_batch_forked(
         return None
 
     # Warm every shared plane in the parent before forking so workers
-    # inherit them (and the decode plane) copy-on-write.
+    # inherit them (and the decode planes) copy-on-write.
     plane = decode_trace(trace)
     shared = shared_planes(plane)
-    for config in configs:
-        shared.branch_plane(plane, config.branch)
-        shared.front_plane(plane, config.memory)
+    if warmup is None:
+        for config in configs:
+            shared.branch_plane(plane, config.branch)
+            shared.front_plane(plane, config.memory)
+    else:
+        decode_trace(warmup)
 
     # Strided chunks: neighbouring configs (often a width or memory
     # ladder with similar lane cost) spread across workers.
@@ -427,7 +541,7 @@ def run_batch_forked(
         list(range(start, len(configs), jobs)) for start in range(jobs)
     ]
     global _fork_state
-    _fork_state = (trace, configs, max_cycles)
+    _fork_state = (trace, configs, max_cycles, track_occupancy, warmup)
     try:
         context = multiprocessing.get_context("fork")
         with context.Pool(jobs) as pool:
@@ -442,9 +556,22 @@ def run_batch_forked(
 
 
 # ----------------------------------------------------------------------
-# Blame helpers: identical decision trees to the scalar core's, with the
-# per-lane undone-source counters standing in for pending_sources (they
-# agree on every dispatched instruction, the only ones blame examines).
+# Lane helpers: occupancy recording and stall blame.  In blame, the
+# per-lane undone-source counters stand in for a dispatched
+# instruction's pending-source count (they agree on every dispatched
+# instruction, the only ones blame examines).
+
+
+def _record_occupancy(occupancy, iq_count, inflight, rob_size, cycles):
+    """Add ``cycles`` cycles' structure occupancies to the histograms."""
+    for name, fu in _TRACKED_QUEUES:
+        histogram = occupancy[name]
+        value = iq_count[fu]
+        histogram[value] = histogram.get(value, 0) + cycles
+    histogram = occupancy["INFLIGHT"]
+    histogram[inflight] = histogram.get(inflight, 0) + cycles
+    histogram = occupancy["RETIREQ"]
+    histogram[rob_size] = histogram.get(rob_size, 0) + cycles
 
 
 def _blame_sources(index, done, fu_of, sources_of):
@@ -498,22 +625,23 @@ def _run_lane(
     plane: DecodedTrace,
     shared: SharedPlanes,
     config: ProcessorConfig,
+    hierarchy: MemoryHierarchy,
     bplane: _BranchPlane,
     fplane: _FrontPlane,
     max_cycles: int | None,
+    track_occupancy: bool,
 ) -> SimulationResult:
     """One configuration's pass over the shared planes.
 
-    Stage order, state transitions, and trauma accounting mirror
-    ``OutOfOrderCore.run`` cycle for cycle; only the bookkeeping
-    differs (plane lookups instead of recomputation, batched retire,
-    counter-based wakeup).
+    Each cycle runs completion, retire, issue, dispatch, and fetch in
+    that order, then fast-forwards over provably idle cycles.
+    ``hierarchy`` holds the lane's data-side caches and TLB (possibly
+    functionally warmed); the I-side outcomes come from ``fplane``.
     """
     n = plane.n
     branch_config = config.branch
     memory = config.memory
     iq_capacity = config.issue_queue_size
-    hierarchy = MemoryHierarchy(memory)
     memory_is_ideal = memory.dl1.is_ideal and memory.l2.is_ideal
 
     # Decode-plane columns.
@@ -554,7 +682,9 @@ def _run_lane(
     store_word_get = pending_store_words.get
     store_queue_used = 0
 
-    # Structures (contiguous index ranges, as in the scalar core).
+    # Structures.  Fetch, dispatch, and retire all advance in trace
+    # order, so the instruction buffer (ibuf_head..fetch_index) and the
+    # reorder queue (rob_head..rob_next) are contiguous index ranges.
     ibuf_head = 0
     rob_head = 0
     rob_next = 0
@@ -592,9 +722,8 @@ def _run_lane(
     wheel_count = 0    # in-flight completion events across all slots
 
     # Frontend state.  stall_done_at marks a fetch-line stall event that
-    # has been processed without its instruction being fetched yet (the
-    # scalar core's last_fetch_line guard): on resume the event must not
-    # replay.
+    # has been processed without its instruction being fetched yet: on
+    # resume the event must not replay.
     fetch_index = 0
     fetch_stall_until = 0
     fetch_reason = Trauma.DECODE
@@ -628,6 +757,12 @@ def _run_lane(
     # current run in locals and flush to the dict on reason change.
     last_reason = None
     last_count = 0
+
+    occupancy: dict[str, dict[int, int]] = {
+        name: {} for name, _ in _TRACKED_QUEUES
+    }
+    occupancy["INFLIGHT"] = {}
+    occupancy["RETIREQ"] = {}
 
     retired = 0
     cycle = 0
@@ -701,6 +836,10 @@ def _run_lane(
             retired += stop - rob_head
             rob_head = stop
             if retired >= n:
+                if track_occupancy:
+                    _record_occupancy(
+                        occupancy, iq_count, inflight, rob_next - rob_head, 1
+                    )
                 break
 
         # ---------------- issue / execute -----------------------
@@ -932,6 +1071,11 @@ def _run_lane(
                 budget -= limit - position
                 fetch_index = limit
 
+        if track_occupancy:
+            _record_occupancy(
+                occupancy, iq_count, inflight, rob_next - rob_head, 1
+            )
+
         # ---------------- stall fast-forward --------------------
         if (
             dispatched < dispatch_width
@@ -1001,6 +1145,11 @@ def _run_lane(
                             )
                         last_reason = skip_reason
                         last_count = skipped
+                    if track_occupancy:
+                        _record_occupancy(
+                            occupancy, iq_count, inflight,
+                            rob_next - rob_head, skipped,
+                        )
                     if (
                         fetch_index - ibuf_head >= ibuffer_cap
                         and wait_branch < 0
@@ -1045,5 +1194,5 @@ def _run_lane(
         l2=CacheResult(hierarchy.l2.accesses, hierarchy.l2.misses),
         itlb=CacheResult(events_done, fplane.itlb_miss_prefix[events_done]),
         dtlb=CacheResult(hierarchy.dtlb.lookups, hierarchy.dtlb.misses),
-        queue_occupancy={},
+        queue_occupancy=occupancy if track_occupancy else {},
     )

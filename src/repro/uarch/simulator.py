@@ -1,13 +1,13 @@
 """Top-level simulation entry points.
 
-:func:`simulate` runs one (trace, config) pair through the scalar
-out-of-order core.  :func:`simulate_batch` runs one trace under *many*
-configurations — the shape of the paper's Tables IV-VI and Figures 5/9
-— through the lockstep engine
-(:class:`~repro.uarch.pipeline.lockstep.LockstepCore`), which shares
-the config-independent decode, branch-predictor, and frontend planes
-across the batch.  Results are byte-identical either way; the batch
-path is just faster per configuration.
+Both run the lockstep engine
+(:class:`~repro.uarch.pipeline.lockstep.LockstepCore`):
+:func:`simulate` is a one-configuration batch, and
+:func:`simulate_batch` runs one trace under *many* configurations — the
+shape of the paper's Tables IV-VI and Figures 5/9 — sharing the
+config-independent decode, branch-predictor, and frontend planes across
+the batch.  A configuration's result is the same whichever batch it
+runs in.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.isa.trace import Trace
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.pipeline.core import OutOfOrderCore
+from repro.uarch.pipeline.lockstep import LockstepCore, run_batch_forked
 from repro.uarch.results import SimulationResult
 
 
@@ -36,10 +36,9 @@ def simulate(
     TLBs, and predictors with another trace before timing begins
     (used by window sampling).
     """
-    core = OutOfOrderCore(
-        trace, config, track_occupancy=track_occupancy, warmup=warmup
-    )
-    return core.run(max_cycles=max_cycles)
+    return LockstepCore(
+        trace, [config], max_cycles, track_occupancy, warmup
+    ).run()[0]
 
 
 def simulate_batch(
@@ -53,33 +52,20 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Run one trace under many configurations; results in input order.
 
-    Batches of two or more plain simulations (no occupancy tracking, no
-    functional warmup) go through the lockstep engine, which shares the
-    config-independent planes across the batch; each returned
-    :class:`~repro.uarch.results.SimulationResult` is byte-identical to
-    the corresponding :func:`simulate` call.  Occupancy/warmup requests
-    and singleton batches fall back to the scalar core.
-
-    ``jobs`` > 1 additionally forks worker processes over the batch on
-    platforms with ``fork`` (the warm planes are inherited
-    copy-on-write, so workers start hot); elsewhere, or inside a
-    daemonic pool worker, the batch runs in-process.
+    Each returned :class:`~repro.uarch.results.SimulationResult` equals
+    the corresponding :func:`simulate` call's.  ``jobs`` > 1
+    additionally forks worker processes over the batch on platforms
+    with ``fork`` (the warm planes are inherited copy-on-write, so
+    workers start hot); elsewhere, or inside a daemonic pool worker,
+    the batch runs in-process.
     """
     configs = list(configs)
-    if track_occupancy or warmup is not None or len(configs) < 2:
-        return [
-            simulate(
-                trace, config,
-                track_occupancy=track_occupancy,
-                max_cycles=max_cycles,
-                warmup=warmup,
-            )
-            for config in configs
-        ]
-    from repro.uarch.pipeline.lockstep import LockstepCore, run_batch_forked
-
     if jobs is not None and jobs > 1:
-        forked = run_batch_forked(trace, configs, max_cycles, jobs)
+        forked = run_batch_forked(
+            trace, configs, max_cycles, jobs, track_occupancy, warmup
+        )
         if forked is not None:
             return forked
-    return LockstepCore(trace, configs, max_cycles=max_cycles).run()
+    return LockstepCore(
+        trace, configs, max_cycles, track_occupancy, warmup
+    ).run()

@@ -34,8 +34,8 @@ REP008   per-cycle Python-object allocation in ``repro.uarch`` cycle
          variable (a dict-keyed-by-cycle event queue), or a class
          instantiated per iteration.  The simulator's throughput
          lives and dies by allocation pressure in the cycle loop —
-         preallocate, reuse, or use a bounded timing wheel; the few
-         deliberate cases in the scalar core carry per-line disables
+         preallocate, reuse, or use a bounded timing wheel (the
+         lane engine has no disables)
 REP009   ad-hoc persistence outside the storage layer: a
          ``pickle.dump``/``marshal.dump``/``np.save``/``np.savez``/
          ``shelve.open`` call in a module that is not part of

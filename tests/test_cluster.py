@@ -256,6 +256,36 @@ class TestRouterDispatch:
 
         asyncio.run(main())
 
+    def test_large_response_keeps_replica_healthy(self):
+        """A response line past asyncio's default 64 KiB reader limit
+        reaches the client and leaves the replica in rotation."""
+
+        async def large(stub, data, writer):
+            return {
+                "id": str(data.get("id", "")),
+                "status": "ok",
+                "result": {"blob": "h" * 70_000},
+            }
+
+        async def main():
+            stub = await StubReplica("a", responder=large).start()
+            router = await routed([stub])
+            try:
+                for request_id in ("big-1", "big-2"):
+                    response = await router.dispatch_search(
+                        {**search_payload(request_id, QUERY),
+                         "no_cache": True}
+                    )
+                    assert response["status"] == "ok"
+                    assert response["id"] == request_id
+                    assert len(response["result"]["blob"]) == 70_000
+                    assert router.replicas["a"].state == STATE_HEALTHY
+            finally:
+                await router.stop()
+                await stub.stop()
+
+        asyncio.run(main())
+
     def test_least_loaded_wins_when_no_affinity(self):
         async def main():
             release = asyncio.Event()

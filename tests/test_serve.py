@@ -2,12 +2,15 @@
 
 Covers the scheduler's edge cases (empty flush, deadline flush with a
 single request, cancellation mid-batch, shed on a full queue), the
-sharded scan's byte-identity with the unsharded search, and a full
-loopback server/loadgen round trip.
+sharded scan's byte-identity with the unsharded search, wire framing
+(undecodable and oversize lines answered with errors on a connection
+that keeps serving), and a full loopback server/loadgen round trip.
 """
 
 import asyncio
 import json
+
+import pytest
 
 from repro.align.batch import (
     ALGORITHMS,
@@ -22,9 +25,21 @@ from repro.align.batch import (
 from repro.bio.synthetic import SyntheticDatabaseConfig, generate_database
 from repro.serve.admission import AdmissionController, QueueFull
 from repro.serve.loadgen import LoopbackClient, main_loadgen
-from repro.serve.protocol import ProtocolError, decode_line, decode_search
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    ProtocolError,
+    decode_line,
+    decode_search,
+    encode_line,
+    read_line,
+)
 from repro.serve.scheduler import BatchPolicy, DynamicBatcher
-from repro.serve.server import AlignmentService, ServeConfig, serve_tcp
+from repro.serve.server import (
+    AlignmentService,
+    ServeConfig,
+    serve_stdio,
+    serve_tcp,
+)
 from repro.serve.telemetry import Telemetry
 
 #: Small database so service tests stay fast (jobs=1, no precompute).
@@ -346,6 +361,104 @@ class TestLoopback:
                 server.close()
                 await server.wait_closed()
         asyncio.run(main())
+
+
+class TestWireFraming:
+    """Malformed and oversize lines get an error, never a dead link."""
+
+    @staticmethod
+    async def _exchange(lines: list[bytes]) -> list[dict]:
+        """Send raw lines to a live TCP server; one response per line."""
+        async with AlignmentService(small_config()) as service:
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=MAX_LINE_BYTES
+            )
+            responses = []
+            try:
+                # One line at a time: each answer arrives before the
+                # next line goes out, so responses stay in send order.
+                for line in lines:
+                    writer.write(line)
+                    await writer.drain()
+                    raw = await asyncio.wait_for(reader.readline(), 30)
+                    assert raw, "connection closed"
+                    responses.append(json.loads(raw))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return responses
+
+    def test_undecodable_line_then_next_request_answered(self):
+        first, second = asyncio.run(self._exchange([
+            b'\xff\xfe{"op": "ping"}\n',
+            b'{"op": "ping", "id": "after"}\n',
+        ]))
+        assert first["status"] == "error"
+        assert "UTF-8" in first["error"]
+        assert second == {"id": "after", "status": "ok", "op": "ping"}
+
+    def test_oversize_request_line_gets_error_response(self):
+        first, second = asyncio.run(self._exchange([
+            b"x" * (MAX_LINE_BYTES + 1000) + b"\n",
+            b'{"op": "ping", "id": "after"}\n',
+        ]))
+        assert first["status"] == "error"
+        assert "exceeds" in first["error"]
+        assert second["id"] == "after"
+        assert second["status"] == "ok"
+
+    def test_stdio_shares_the_framing(self, monkeypatch):
+        import io
+        import sys
+
+        stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(
+            b'\xff\n'
+            + b"y" * (MAX_LINE_BYTES + 1) + b"\n"
+            + b'{"op": "ping", "id": "p"}'  # last line, no newline
+        )))
+        stdout = io.TextIOWrapper(io.BytesIO())
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", stdout)
+
+        async def main():
+            async with AlignmentService(small_config()) as service:
+                await serve_stdio(service)
+
+        asyncio.run(main())
+        responses = [
+            json.loads(line)
+            for line in stdout.buffer.getvalue().splitlines()
+        ]
+        assert [r["status"] for r in responses] == ["error", "error", "ok"]
+        assert responses[2]["id"] == "p"
+
+    def test_read_line_realigns_after_split_oversize_line(self):
+        async def main():
+            reader = asyncio.StreamReader(limit=16)
+            reader.feed_data(b"a" * 20)
+            reader.feed_data(b"b" * 20 + b"\nok\n")
+            reader.feed_eof()
+            with pytest.raises(ProtocolError):
+                await read_line(reader)
+            assert await read_line(reader) == "ok\n"
+            assert await read_line(reader) is None
+
+        asyncio.run(main())
+
+    def test_oversize_response_becomes_error(self):
+        small = encode_line({"id": "s", "status": "ok"})
+        assert json.loads(small)["status"] == "ok"
+        huge = encode_line(
+            {"id": "h", "status": "ok", "result": "z" * MAX_LINE_BYTES}
+        )
+        assert len(huge) < 1024
+        response = json.loads(huge)
+        assert response["id"] == "h"
+        assert response["status"] == "error"
 
 
 class TestLoadgen:
